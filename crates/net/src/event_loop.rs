@@ -22,8 +22,9 @@
 //!
 //! Protocol logic never appears here: each connection owns a boxed
 //! [`EventHandler`] (an incremental parser plus request handler) that
-//! consumes byte chunks and appends response bytes — the same sans-io
-//! cores the blocking servers wrap.  All socket I/O goes through
+//! consumes byte chunks and appends response bytes — the same handler
+//! the threaded engine's blocking driver runs ([`crate::server`]).
+//! All socket I/O goes through
 //! [`crate::nio`]'s readiness probes; `cargo xtask analyze` rejects any
 //! blocking I/O call in this module.
 //!
@@ -66,44 +67,11 @@ use openmeta_obs::{clock, span, Gauge, MetricsRegistry};
 
 use crate::config::ServerConfig;
 use crate::nio::{self, ReadOutcome, WriteOutcome};
+use crate::server::{EventHandler, HandlerFactory};
 use crate::stats::ServerStats;
 use crate::sync::{self, Condvar, Mutex};
 use crate::timer::TimerWheel;
 use crate::workers::spawn_worker;
-
-/// What a handler did with a chunk of bytes.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Dispatch {
-    /// Complete requests/frames consumed (feeds the `frames_in`
-    /// counter; responses are counted as their bytes flush).
-    pub requests: usize,
-    /// Close the connection once queued output has flushed (e.g.
-    /// `Connection: close`).
-    pub close: bool,
-}
-
-/// The sans-io protocol core a connection runs on the event loop.
-///
-/// The loop feeds raw byte chunks in whatever sizes the kernel delivers;
-/// the handler buffers partial input, and appends complete response
-/// bytes to `out` for the loop to flush as the socket accepts them.
-/// Returning an error closes the connection (protocol violation,
-/// oversized frame, …), matching a blocking worker bailing out.
-pub trait EventHandler: Send {
-    /// Consume `bytes`, appending any response bytes to `out`.
-    fn on_bytes(&mut self, bytes: &[u8], out: &mut Vec<u8>) -> io::Result<Dispatch>;
-
-    /// When a *read* deadline expires, should it count as `timed_out`?
-    /// Protocols that treat an idle keep-alive connection's expiry as a
-    /// routine close (HTTP) return `false` unless mid-request; frame
-    /// protocols that count every read expiry (pbio) keep the default.
-    fn deadline_counts_as_timeout(&self) -> bool {
-        true
-    }
-}
-
-/// Factory producing one handler per accepted connection.
-pub type HandlerFactory = dyn Fn() -> Box<dyn EventHandler> + Send + Sync;
 
 /// Wheel slot width: deadlines fire at most this much late.
 const WHEEL_SLOT: Duration = Duration::from_millis(50);
@@ -129,11 +97,11 @@ struct Shard {
 
 /// A readiness poll loop serving connections on a few shard threads.
 ///
-/// Servers construct one via [`EventLoop::start`] when their
-/// [`ServerConfig`] selects [`crate::config::Backend::EventLoop`], hand
-/// accepted sockets to [`EventLoop::register`], and drain with
-/// [`EventLoop::shutdown`] — the same lifecycle as
-/// [`crate::WorkerPool`].
+/// [`crate::Server`] constructs one via [`EventLoop::start`] when its
+/// [`ServerConfig`] selects [`crate::config::Backend::EventLoop`], hands
+/// accepted sockets to [`EventLoop::register`], and drains with
+/// [`EventLoop::shutdown`] — the same lifecycle as the threaded
+/// engine's worker pool.
 pub struct EventLoop {
     shards: Vec<Arc<Shard>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -214,12 +182,6 @@ impl EventLoop {
         }
         shard.wake.notify_one();
         true
-    }
-
-    /// Connections currently owned by the loop (registered, not yet
-    /// closed).
-    pub fn open_now(&self) -> usize {
-        self.open.load(Ordering::SeqCst)
     }
 
     /// Graceful drain: stop reading, flush queued responses, close as
@@ -555,7 +517,7 @@ fn sweep_conn(
         match nio::read_ready(&mut conn.stream, scratch) {
             Ok(ReadOutcome::NotReady) => break,
             Ok(ReadOutcome::Eof) => {
-                // Peer closed: mirror the threaded worker, which returns
+                // Peer closed: mirror the blocking driver, which returns
                 // (and closes) on EOF without writing further.
                 return SweepVerdict::Close;
             }
@@ -647,9 +609,13 @@ fn flush_out(conn: &mut Conn, stats: &ServerStats) -> io::Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Backend;
+    use crate::server::{Dispatch, Server};
     use std::io::{Read as _, Write as _};
     use std::net::TcpListener;
     use std::time::Duration;
+
+    const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::EventLoop];
 
     /// Echo handler framed as `len:u32be payload` via the sans-io framer.
     struct Echo {
@@ -685,6 +651,13 @@ mod tests {
         (el, listener)
     }
 
+    /// Serve the echo handler through [`Server`] on `backend`.
+    fn echo_server(cfg: ServerConfig, backend: Backend, stats: ServerStats) -> Server {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        Server::start("test", listener, ServerConfig { backend, ..cfg }, stats, Echo::boxed)
+            .unwrap()
+    }
+
     fn connect_registered(el: &EventLoop, listener: &TcpListener) -> TcpStream {
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
@@ -706,30 +679,36 @@ mod tests {
 
     #[test]
     fn echoes_frames_across_many_keepalive_connections() {
-        let stats = ServerStats::new();
-        let cfg =
-            ServerConfig { max_connections: 64, event_loop_shards: 2, ..ServerConfig::default() };
-        let (el, listener) = echo_loop(&cfg, stats.clone());
-        let mut clients: Vec<TcpStream> =
-            (0..8).map(|_| connect_registered(&el, &listener)).collect();
-        for round in 0..3u8 {
-            for (i, c) in clients.iter_mut().enumerate() {
-                c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-                let payload = vec![round ^ i as u8; 64 + i];
-                assert_eq!(round_trip(c, &payload), payload);
+        for backend in BACKENDS {
+            let stats = ServerStats::new();
+            let cfg = ServerConfig {
+                max_connections: 64,
+                event_loop_shards: 2,
+                ..ServerConfig::default()
+            };
+            let server = echo_server(cfg, backend, stats.clone());
+            let mut clients: Vec<TcpStream> =
+                (0..8).map(|_| TcpStream::connect(server.addr()).unwrap()).collect();
+            for round in 0..3u8 {
+                for (i, c) in clients.iter_mut().enumerate() {
+                    c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                    let payload = vec![round ^ i as u8; 64 + i];
+                    assert_eq!(round_trip(c, &payload), payload, "{backend:?}");
+                }
             }
+            // frames_out increments after the kernel accepts the bytes, so
+            // a client can observe a response a beat before the counter
+            // moves.
+            let start = std::time::Instant::now();
+            while stats.snapshot().frames_out < 24 && start.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let snap = stats.snapshot();
+            assert_eq!(snap.frames_in, 24, "{backend:?}");
+            assert_eq!(snap.frames_out, 24, "{backend:?}");
+            drop(server);
+            assert_eq!(stats.snapshot().active, 0, "{backend:?}: drop must drain");
         }
-        // frames_out increments after the kernel accepts the bytes, so a
-        // client can observe a response a beat before the counter moves.
-        let start = std::time::Instant::now();
-        while stats.snapshot().frames_out < 24 && start.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let snap = stats.snapshot();
-        assert_eq!(snap.frames_in, 24);
-        assert_eq!(snap.frames_out, 24);
-        assert!(el.shutdown(Duration::from_secs(5)));
-        assert_eq!(stats.snapshot().active, 0);
     }
 
     #[test]
@@ -847,32 +826,50 @@ mod tests {
 
     #[test]
     fn drain_flushes_then_closes() {
-        let stats = ServerStats::new();
-        let cfg =
-            ServerConfig { event_loop_shards: 1, max_connections: 8, ..ServerConfig::default() };
-        let (el, listener) = echo_loop(&cfg, stats.clone());
-        let mut client = connect_registered(&el, &listener);
-        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(round_trip(&mut client, b"before-drain"), b"before-drain");
-        let start = std::time::Instant::now();
-        assert!(el.shutdown(Duration::from_secs(5)), "idle connection must drain promptly");
-        assert!(start.elapsed() < Duration::from_secs(2), "drain took {:?}", start.elapsed());
-        let mut buf = [0u8; 1];
-        assert_eq!(client.read(&mut buf).unwrap_or(0), 0, "drained conn must be closed");
+        for backend in BACKENDS {
+            let stats = ServerStats::new();
+            let cfg = ServerConfig {
+                event_loop_shards: 1,
+                max_connections: 8,
+                ..ServerConfig::default()
+            };
+            let server = echo_server(cfg, backend, stats.clone());
+            let mut client = TcpStream::connect(server.addr()).unwrap();
+            client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(round_trip(&mut client, b"before-drain"), b"before-drain");
+            let start = std::time::Instant::now();
+            drop(server);
+            let took = start.elapsed();
+            assert!(took < Duration::from_secs(2), "{backend:?}: drain took {took:?}");
+            assert_eq!(stats.snapshot().active, 0, "{backend:?}: idle connection must drain");
+            let mut buf = [0u8; 1];
+            assert_eq!(
+                client.read(&mut buf).unwrap_or(0),
+                0,
+                "{backend:?}: drained conn must close"
+            );
+        }
     }
 
     #[test]
     fn handler_error_closes_connection() {
-        let stats = ServerStats::new();
-        let cfg =
-            ServerConfig { event_loop_shards: 1, max_connections: 8, ..ServerConfig::default() };
-        let (el, listener) = echo_loop(&cfg, stats.clone());
-        let mut client = connect_registered(&el, &listener);
-        // Oversized length prefix: the framer (handler) errors out.
-        client.write_all(&u32::MAX.to_be_bytes()).unwrap();
-        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut buf = [0u8; 1];
-        assert_eq!(client.read(&mut buf).unwrap_or(0), 0, "protocol error must close");
-        drop(el);
+        for backend in BACKENDS {
+            let cfg = ServerConfig {
+                event_loop_shards: 1,
+                max_connections: 8,
+                ..ServerConfig::default()
+            };
+            let server = echo_server(cfg, backend, ServerStats::new());
+            let mut client = TcpStream::connect(server.addr()).unwrap();
+            // Oversized length prefix: the framer (handler) errors out.
+            client.write_all(&u32::MAX.to_be_bytes()).unwrap();
+            client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut buf = [0u8; 1];
+            assert_eq!(
+                client.read(&mut buf).unwrap_or(0),
+                0,
+                "{backend:?}: protocol error must close"
+            );
+        }
     }
 }

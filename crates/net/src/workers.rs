@@ -118,11 +118,6 @@ impl<T: Send + 'static> WorkerPool<T> {
         true
     }
 
-    /// Items queued but not yet picked up by a worker.
-    pub fn queued_now(&self) -> usize {
-        sync::lock(&self.shared.queue).pending.len()
-    }
-
     /// Graceful shutdown: stop admitting work, let workers finish their
     /// in-flight items, and drop anything still queued.  Returns `true`
     /// if everything drained inside `budget`; on `false` the stragglers
@@ -432,7 +427,7 @@ mod loom_tests {
             assert!(pool.submit(1));
             assert!(pool.shutdown(Duration::from_secs(30)));
             assert!(!pool.submit(2), "post-shutdown submit must reject");
-            assert_eq!(pool.queued_now(), 0);
+            assert_eq!(sync::lock(&pool.shared.queue).pending.len(), 0);
         });
     }
 

@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 
 use openmeta_net::{Backend, Fault, FaultProxy, ServerConfig, TransportCounters};
 use openmeta_ohttp::HttpServer;
-use openmeta_pbio::server::{FormatServer, FormatServerClient};
+use openmeta_pbio::codec::encode_descriptor;
+use openmeta_pbio::server::{fetch_request_payload, FormatServer, FormatServerClient};
 use openmeta_pbio::{FormatDescriptor, FormatSpec, IOField, MachineModel};
 
 const BACKENDS: [Backend; 2] = [Backend::Threaded, Backend::EventLoop];
@@ -179,6 +180,43 @@ fn http_write_stall_counts_timed_out_on_both_backends() {
         let proxy = FaultProxy::start(server.addr(), Fault::Stall { after: 4096 }).unwrap();
         let mut stream = TcpStream::connect(proxy.addr()).unwrap();
         stream.write_all(b"GET /big HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let c = wait_for(|| server.transport_counters(), |c| c.timed_out >= 1);
+        assert_eq!(c.timed_out, 1, "{backend:?}: {c:?}");
+        drop(stream);
+    }
+}
+
+#[test]
+fn pbio_write_stall_counts_timed_out_on_both_backends() {
+    // A wide descriptor, so each fetch reply is tens of KiB.
+    let fields = (0..1000).map(|i| IOField::auto(format!("field_{i:04}"), "integer", 4)).collect();
+    let desc = FormatDescriptor::resolve(
+        &FormatSpec::new("Wide", fields),
+        MachineModel::native(),
+        &|_| None,
+    )
+    .unwrap();
+    let reply_len = encode_descriptor(&desc).len();
+    for backend in BACKENDS {
+        let server = FormatServer::start_with(ServerConfig {
+            write_timeout: Some(Duration::from_millis(300)),
+            ..config(backend)
+        })
+        .unwrap();
+        let id = FormatServerClient::connect(server.addr()).register(&desc).unwrap();
+        // Pipelined fetches whose replies total 32 MiB, far beyond any
+        // kernel socket buffer.  The proxy forwards every request (well
+        // under the budget) but relays only 64 KiB of the replies before
+        // it stops reading: the server's send buffer fills and its write
+        // stalls.
+        let payload = fetch_request_payload(id);
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        let requests = frame.repeat((32 << 20) / reply_len + 1);
+        assert!(requests.len() < 64 * 1024, "requests must fit the proxy budget");
+        let proxy = FaultProxy::start(server.addr(), Fault::Stall { after: 64 * 1024 }).unwrap();
+        let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+        stream.write_all(&requests).unwrap();
         let c = wait_for(|| server.transport_counters(), |c| c.timed_out >= 1);
         assert_eq!(c.timed_out, 1, "{backend:?}: {c:?}");
         drop(stream);
