@@ -1,6 +1,7 @@
 //! Figure regenerators: each function measures one of the paper's
 //! figures and renders the same rows/series the paper reports.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,6 +41,23 @@ impl RegistrationRow {
     }
 }
 
+/// Real schema parses in this process so far: misses of the process-wide
+/// parse memo.
+fn schema_parses() -> u64 {
+    openmeta_obs::MetricsRegistry::global()
+        .snapshot()
+        .counter_value("openmeta_schema_parse_memo_misses_total")
+        .unwrap_or(0)
+}
+
+/// `xml` with a trailing comment unique in this process, so a timed URL
+/// load pays a real parse instead of a hit in the process-wide parse
+/// memo.
+fn unique_body(xml: &str) -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    format!("{xml}<!-- iteration {} -->\n", NEXT.fetch_add(1, Ordering::Relaxed))
+}
+
 /// Measure registration cost for a set of cases (Figures 3 and 6).
 pub fn registration_rows(cases: &[RegistrationCase], iters: usize) -> Vec<RegistrationRow> {
     cases
@@ -65,6 +83,8 @@ pub fn registration_rows(cases: &[RegistrationCase], iters: usize) -> Vec<Regist
                     reg
                 },
             );
+            // `load_str` bypasses the process-wide parse memo, so every
+            // iteration pays a real parse.
             let xmit_time = time_mean(
                 iters,
                 || Xmit::new(MachineModel::native()),
@@ -147,6 +167,9 @@ pub struct DiscoveryRow {
     pub pbio: Duration,
     /// Cold discovery: fresh toolkit, TCP connect + GET + parse + bind.
     pub cold: Duration,
+    /// Schema parses the cold timing paid, warm-up pass included: one per
+    /// iteration, because the server serves each a distinct body.
+    pub cold_parses: u64,
     /// Warm discovery: cache entry inside the TTL, no network at all.
     pub warm: Duration,
     /// Revalidated discovery: conditional GET answered `304`, cached
@@ -232,16 +255,22 @@ pub fn discovery_rows(cases: &[RegistrationCase], iters: usize) -> DiscoveryBenc
             );
 
             // Cold: a fresh toolkit per iteration — new pool, empty
-            // cache — so every load pays connect + fetch + parse + bind.
+            // cache — and a body new to the process, so every load pays
+            // connect + fetch + parse + bind.
+            let parses_before = schema_parses();
             let cold = time_mean(
                 iters,
-                || Xmit::new(MachineModel::native()),
+                || {
+                    server.put_xml(&format!("/{}.xsd", case.name), unique_body(&case.xml));
+                    Xmit::new(MachineModel::native())
+                },
                 |toolkit| {
                     toolkit.load_url(&url).expect("loads");
                     toolkit.bind(case.name).expect("binds");
                     toolkit
                 },
             );
+            let cold_parses = schema_parses() - parses_before;
 
             // Warm: the shared toolkit's entry stays inside the TTL, so
             // the load is answered from cache with zero network traffic.
@@ -306,6 +335,7 @@ pub fn discovery_rows(cases: &[RegistrationCase], iters: usize) -> DiscoveryBenc
                 sparc_size: case.sparc_size,
                 pbio,
                 cold,
+                cold_parses,
                 warm,
                 revalidated,
                 connect_fetch,
@@ -412,7 +442,7 @@ pub fn discovery_to_json(bench: &DiscoveryBench) -> String {
         }
         out.push_str(&format!(
             "    {{\"format\": \"{}\", \"sparc_size\": {}, \"pbio_ns\": {}, \
-             \"cold_ns\": {}, \"warm_ns\": {}, \"revalidated_ns\": {}, \
+             \"cold_ns\": {}, \"cold_parses\": {}, \"warm_ns\": {}, \"revalidated_ns\": {}, \
              \"rdm_cold\": {:.4}, \"rdm_warm\": {:.4}, \"rdm_revalidated\": {:.4}, \
              \"connect_ns\": {}, \"fetch_ns\": {}, \"parse_ns\": {}, \"parse_dom_ns\": {}, \
              \"register_ns\": {}}}",
@@ -420,6 +450,7 @@ pub fn discovery_to_json(bench: &DiscoveryBench) -> String {
             r.sparc_size,
             r.pbio.as_nanos(),
             r.cold.as_nanos(),
+            r.cold_parses,
             r.warm.as_nanos(),
             r.revalidated.as_nanos(),
             r.rdm_cold(),
@@ -1197,6 +1228,8 @@ mod tests {
         assert_eq!(bench.rows.len(), 1);
         let r = &bench.rows[0];
         assert!(r.rdm_cold() > 0.0 && r.rdm_warm() > 0.0 && r.rdm_revalidated() > 0.0);
+        // Other tests parse concurrently, so this is a lower bound.
+        assert!(r.cold_parses > FAST as u64, "cold loads must parse: {}", r.cold_parses);
         assert!(bench.schema_cache.fresh_hits > 0, "warm loop must hit the TTL cache");
         assert!(bench.schema_cache.revalidated > 0, "reval loop must see 304s");
         assert!(bench.pool.reuses > 0, "HTTP legs must reuse pooled connections");
@@ -1210,6 +1243,7 @@ mod tests {
 
         let j = discovery_to_json(&bench);
         assert!(j.contains("\"rdm_warm\":") && j.contains("\"schema_cache\""), "{j}");
+        assert!(j.contains("\"cold_parses\":"), "{j}");
         assert!(j.contains("\"transport\": {\"accepted\":"), "{j}");
 
         let combined =

@@ -97,14 +97,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// Apply a config's deadlines and nodelay to an established stream.
+/// Apply a config's deadlines and nodelay setting to an established
+/// stream, overwriting whatever an earlier owner of a pooled stream set.
 pub fn harden_stream(stream: &TcpStream, cfg: &TransportConfig) -> io::Result<()> {
     stream.set_read_timeout(cfg.read_timeout)?;
     stream.set_write_timeout(cfg.write_timeout)?;
-    if cfg.nodelay {
-        stream.set_nodelay(true)?;
-    }
-    Ok(())
+    stream.set_nodelay(cfg.nodelay)
 }
 
 /// Resolve `addr` and connect with `cfg`'s connect deadline, trying every

@@ -21,6 +21,9 @@
 //! * [`ServerStats`] / [`TransportCounters`] — per-server counters
 //!   (accepted, active, rejected, timed out, frames in/out) surfaced
 //!   through the bench `--json` reports;
+//! * [`IdleSet`] and [`probe_idle`] — the client side's idle keep-alive
+//!   connections: per-peer and total caps, and the zero-timeout health
+//!   check a pooled socket passes before reuse;
 //! * [`read_exact_capped`] and [`LengthFramer`] — frame-payload reads
 //!   that grow the buffer as bytes actually arrive, so an untrusted
 //!   length prefix cannot force a large up-front allocation;
@@ -33,6 +36,7 @@ pub mod config;
 mod event_loop;
 pub mod faults;
 pub mod framing;
+pub mod idle;
 pub mod nio;
 pub mod retry;
 pub mod sansio;
@@ -47,6 +51,7 @@ pub use config::{
 };
 pub use faults::{Fault, FaultProxy};
 pub use framing::{is_timeout, read_exact_capped, write_all_vectored, READ_CHUNK};
+pub use idle::{probe_idle, IdleSet};
 pub use retry::RetryPolicy;
 pub use sansio::{read_frame_blocking, LengthFramer};
 pub use server::{Dispatch, EventHandler, Server};

@@ -7,7 +7,9 @@
 //! instrument's [`SeriesKey`], so a [`Snapshot`] can sum every live
 //! instance of a series without the owners ever sharing state or taking
 //! a lock to increment.  Dead instances (dropped owners) are pruned at
-//! snapshot time.
+//! snapshot time, and at registration whenever a family's handle list is
+//! full, so a process that creates and drops owners but is never scraped
+//! stays bounded.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -307,8 +309,7 @@ impl MetricsRegistry {
     /// A new counter instance registered under `name{labels}`.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let c = Arc::new(Counter::new());
-        let mut fams = sync::lock(&self.families);
-        fams.counters.entry(SeriesKey::new(name, labels)).or_default().push(Arc::downgrade(&c));
+        register(&mut sync::lock(&self.families).counters, SeriesKey::new(name, labels), &c);
         c
     }
 
@@ -320,8 +321,7 @@ impl MetricsRegistry {
     /// A new gauge instance registered under `name{labels}`.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let g = Arc::new(Gauge::new());
-        let mut fams = sync::lock(&self.families);
-        fams.gauges.entry(SeriesKey::new(name, labels)).or_default().push(Arc::downgrade(&g));
+        register(&mut sync::lock(&self.families).gauges, SeriesKey::new(name, labels), &g);
         g
     }
 
@@ -333,8 +333,7 @@ impl MetricsRegistry {
     /// A new histogram instance registered under `name{labels}`.
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let h = Arc::new(Histogram::new());
-        let mut fams = sync::lock(&self.families);
-        fams.histograms.entry(SeriesKey::new(name, labels)).or_default().push(Arc::downgrade(&h));
+        register(&mut sync::lock(&self.families).histograms, SeriesKey::new(name, labels), &h);
         h
     }
 
@@ -374,6 +373,18 @@ impl MetricsRegistry {
             .collect();
         Snapshot { counters, gauges, histograms }
     }
+}
+
+/// File a weak handle to `instance` under `key`.  Dead handles are
+/// pruned only when the list is full, before it would grow: amortized
+/// O(1) per registration, and a list never exceeds about twice its live
+/// instances even if no snapshot ever prunes it.
+fn register<T>(family: &mut BTreeMap<SeriesKey, Vec<Weak<T>>>, key: SeriesKey, instance: &Arc<T>) {
+    let instances = family.entry(key).or_default();
+    if instances.len() == instances.capacity() {
+        instances.retain(|w| w.strong_count() > 0);
+    }
+    instances.push(Arc::downgrade(instance));
 }
 
 /// A point-in-time copy of a whole registry, sorted by series key (the
@@ -463,6 +474,31 @@ mod loom_tests {
             drop(keep);
         });
     }
+
+    /// A registration that prunes the family's handle list, racing an
+    /// owner dropping its instances, never loses a live instance.
+    #[test]
+    fn loom_registration_racing_a_drop_keeps_live_instances() {
+        loom::model(|| {
+            let reg = Arc::new(MetricsRegistry::new());
+            let keep = reg.counter("openmeta_loom_prune_total");
+            keep.add(1);
+            // Fill the handle list, so the racing registration prunes.
+            let doomed: Vec<_> = (0..3).map(|_| reg.counter("openmeta_loom_prune_total")).collect();
+            let r = reg.clone();
+            let registrar = thread::spawn(move || {
+                let c = r.counter("openmeta_loom_prune_total");
+                c.add(10);
+                c
+            });
+            let dropper = thread::spawn(move || drop(doomed));
+            dropper.join().expect("dropper");
+            let fresh = registrar.join().expect("registrar");
+            let snap = reg.snapshot();
+            assert_eq!(snap.counter_value("openmeta_loom_prune_total"), Some(11));
+            drop((keep, fresh));
+        });
+    }
 }
 
 #[cfg(all(test, not(loom)))]
@@ -522,6 +558,34 @@ mod tests {
         let snap = reg.snapshot();
         // The owner died; its increments die with it, the series stays.
         assert_eq!(snap.counter_value("openmeta_drop_total"), Some(0));
+    }
+
+    #[test]
+    fn unscraped_registrations_stay_bounded() {
+        let reg = MetricsRegistry::new();
+        let name = "openmeta_churn_total";
+        let live: Vec<_> = (0..3).map(|_| reg.counter(name)).collect();
+        let live_h: Vec<_> = (0..3).map(|_| reg.histogram(name)).collect();
+        for (c, h) in live.iter().zip(&live_h) {
+            c.add(2);
+            h.record(7);
+        }
+        for _ in 0..100_000 {
+            reg.counter(name).add(5);
+            reg.gauge(name).add(5);
+            reg.histogram(name).record(5);
+        }
+        let key = SeriesKey::new(name, &[]);
+        let fams = sync::lock(&reg.families);
+        let bound = 2 * live.len() + 4;
+        assert!(fams.counters[&key].len() <= bound, "{}", fams.counters[&key].len());
+        assert!(fams.gauges[&key].len() <= 4, "{}", fams.gauges[&key].len());
+        assert!(fams.histograms[&key].len() <= bound, "{}", fams.histograms[&key].len());
+        drop(fams);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_value(name), Some(6), "dropped owners take their counts");
+        assert_eq!(snap.gauges[0].1, 0);
+        assert_eq!(snap.histogram_value(name, &[]).expect("series").count, 3);
     }
 
     #[test]

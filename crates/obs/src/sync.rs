@@ -6,10 +6,10 @@
 //! `loom::model` schedule exploration (`cargo xtask loom`).
 //!
 //! This is deliberately the *only* lock-helper module in the workspace:
-//! `openmeta-net`, `openmeta-ohttp`, `openmeta-pbio` and `openmeta-echo`
-//! re-export it as their `sync` module rather than carrying copies, so
-//! the lock-order analyzer (`openmeta protolint`, engine 2) has a single
-//! set of acquisition entry points — `sync::lock`, `sync::wait`,
+//! `openmeta-net`, `openmeta-pbio` and `openmeta-echo` re-export it as
+//! their `sync` module rather than carrying copies, so the lock-order
+//! analyzer (`openmeta protolint`, engine 2) has a single set of
+//! acquisition entry points — `sync::lock`, `sync::wait`,
 //! `sync::wait_timeout` — to key on.  `openmeta-obs` hosts it because it
 //! is the workspace's base crate (everything else already depends on it).
 //!

@@ -25,12 +25,11 @@ pub mod pool;
 pub mod request;
 pub mod server;
 pub mod source;
-pub(crate) mod sync;
 pub mod url;
 
 pub use client::{http_get, http_get_conditional, read_response, Fetch, RawResponse, Response};
 pub use error::HttpError;
-pub use pool::{ConnectionPool, IdleSet, PoolConfig, PoolStats};
+pub use pool::{ConnectionPool, PoolConfig, PoolStats};
 pub use server::{default_http_config, HttpServer};
 
 // The transport-hardening knobs and counters servers and clients share,

@@ -12,13 +12,12 @@
 //! stale-conn retry.  The retry remains as a backstop for the
 //! unavoidable race where the server closes between probe and use.
 
-use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use openmeta_net::nio::{read_ready, ReadOutcome};
+use openmeta_net::{probe_idle, IdleSet};
 use openmeta_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::client::{
@@ -26,63 +25,7 @@ use crate::client::{
     CONNECT_TIMEOUT, IO_TIMEOUT,
 };
 use crate::error::HttpError;
-use crate::sync;
 use crate::url::Url;
-
-/// A capped, per-key store of idle reusable resources — the pool's
-/// retention policy, extracted so its check-in/check-out races can be
-/// model-tested in isolation (`cargo xtask loom`).
-///
-/// Keys are authorities (`host:port`); at most `cap` items are retained
-/// per key, and a check-in beyond the cap reports `false` and drops the
-/// item on the caller's side.
-pub struct IdleSet<T> {
-    cap: usize,
-    idle: sync::Mutex<HashMap<String, Vec<T>>>,
-}
-
-impl<T> IdleSet<T> {
-    /// An empty set retaining at most `cap` items per key.
-    pub fn new(cap: usize) -> IdleSet<T> {
-        IdleSet { cap, idle: sync::Mutex::new(HashMap::new()) }
-    }
-
-    /// Take one idle item for `key`, most recently checked in first.
-    pub fn check_out(&self, key: &str) -> Option<T> {
-        sync::lock(&self.idle).get_mut(key)?.pop()
-    }
-
-    /// Return an item for `key`; `false` means the per-key cap was
-    /// already met and the item was not retained.
-    pub fn check_in(&self, key: &str, item: T) -> bool {
-        let mut idle = sync::lock(&self.idle);
-        let items = idle.entry(key.to_string()).or_default();
-        if items.len() < self.cap {
-            items.push(item);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Total idle items across all keys.
-    pub fn count(&self) -> usize {
-        sync::lock(&self.idle).values().map(Vec::len).sum()
-    }
-
-    /// Largest idle count held by any single key.
-    pub fn max_per_key(&self) -> usize {
-        sync::lock(&self.idle).values().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// Drop every idle item, returning how many were dropped.
-    pub fn clear(&self) -> usize {
-        let mut idle = sync::lock(&self.idle);
-        let dropped = idle.values().map(Vec::len).sum();
-        idle.clear();
-        dropped
-    }
-}
 
 /// Counters describing pool behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,10 +64,15 @@ impl Default for PoolConfig {
     }
 }
 
+/// Idle connections one pool keeps across all authorities, so a
+/// discovery client that talked to many short-lived hosts holds a
+/// bounded number of sockets.
+const MAX_IDLE_TOTAL: usize = 64;
+
 /// A keep-alive connection pool for HTTP/1.1 GETs.
 pub struct ConnectionPool {
     cfg: PoolConfig,
-    idle: IdleSet<TcpStream>,
+    idle: IdleSet<String, TcpStream>,
     /// Global-registry-backed instruments (`openmeta_pool_*`): this
     /// pool's exact numbers via [`ConnectionPool::stats`], process-wide
     /// sums via a `/metrics` scrape.
@@ -148,7 +96,7 @@ impl ConnectionPool {
         let m = MetricsRegistry::global();
         ConnectionPool {
             cfg,
-            idle: IdleSet::new(cfg.max_idle_per_authority),
+            idle: IdleSet::new(cfg.max_idle_per_authority, MAX_IDLE_TOTAL),
             requests: m.counter("openmeta_pool_requests_total"),
             connects: m.counter("openmeta_pool_connects_total"),
             reuses: m.counter("openmeta_pool_reuses_total"),
@@ -218,7 +166,7 @@ impl ConnectionPool {
         // Check the connection back in even when the status is an error:
         // a framed 404 leaves the connection perfectly reusable.
         if raw.reusable {
-            self.check_in(&url.authority(), stream);
+            self.check_in(url.authority(), stream);
         }
         interpret(raw)
     }
@@ -234,8 +182,8 @@ impl ConnectionPool {
         None
     }
 
-    fn check_in(&self, authority: &str, stream: TcpStream) {
-        if self.idle.check_in(authority, stream) {
+    fn check_in(&self, authority: String, stream: TcpStream) {
+        if self.idle.check_in(authority, stream).is_none() {
             self.idle_gauge.inc();
         }
     }
@@ -260,115 +208,6 @@ impl ConnectionPool {
     pub fn clear(&self) {
         let dropped = self.idle.clear();
         self.idle_gauge.add(-(dropped as i64));
-    }
-}
-
-/// Zero-timeout health probe on an idle keep-alive connection: between
-/// responses the peer owes us nothing, so a healthy socket reads as
-/// `WouldBlock`.  EOF means the server closed it; readable bytes mean a
-/// desynchronized connection (neither is usable).  The probe itself
-/// never blocks — the socket is flipped to nonblocking for one
-/// `read_ready` call and restored before it is handed out.
-fn probe_idle(mut stream: TcpStream) -> Option<TcpStream> {
-    if stream.set_nonblocking(true).is_err() {
-        return None;
-    }
-    let mut scratch = [0u8; 16];
-    let healthy = matches!(read_ready(&mut stream, &mut scratch), Ok(ReadOutcome::NotReady));
-    if healthy && stream.set_nonblocking(false).is_ok() {
-        Some(stream)
-    } else {
-        None
-    }
-}
-
-#[cfg(test)]
-mod idle_set_tests {
-    use super::*;
-
-    #[test]
-    fn caps_per_key_not_globally() {
-        let set = IdleSet::new(2);
-        assert!(set.check_in("a:80", 1));
-        assert!(set.check_in("a:80", 2));
-        assert!(!set.check_in("a:80", 3), "per-key cap reached");
-        assert!(set.check_in("b:80", 4), "other keys unaffected");
-        assert_eq!(set.count(), 3);
-        assert_eq!(set.max_per_key(), 2);
-    }
-
-    #[test]
-    fn check_out_is_lifo_and_empties() {
-        let set = IdleSet::new(4);
-        set.check_in("a:80", 1);
-        set.check_in("a:80", 2);
-        assert_eq!(set.check_out("a:80"), Some(2));
-        assert_eq!(set.check_out("a:80"), Some(1));
-        assert_eq!(set.check_out("a:80"), None);
-        assert_eq!(set.check_out("missing:80"), None);
-    }
-
-    #[test]
-    fn clear_drops_everything() {
-        let set = IdleSet::new(4);
-        set.check_in("a:80", 1);
-        set.check_in("b:80", 2);
-        set.clear();
-        assert_eq!(set.count(), 0);
-        assert_eq!(set.max_per_key(), 0);
-    }
-}
-
-/// Model tests: `RUSTFLAGS="--cfg loom" cargo test -p openmeta-ohttp`
-/// (driven by `cargo xtask loom`).
-#[cfg(all(test, loom))]
-mod loom_tests {
-    use super::*;
-    use std::sync::Arc;
-
-    /// Concurrent check-ins never exceed the per-key cap, and every item
-    /// is either retained or reported dropped — none lost.
-    #[test]
-    fn loom_idle_set_cap_under_contention() {
-        loom::model(|| {
-            let set = Arc::new(IdleSet::new(1));
-            let handles: Vec<_> = (0..2)
-                .map(|n| {
-                    let set = set.clone();
-                    loom::thread::spawn(move || set.check_in("a:80", n))
-                })
-                .collect();
-            let retained =
-                handles.into_iter().map(|h| h.join().expect("join")).filter(|&kept| kept).count();
-            assert_eq!(retained, 1, "exactly one concurrent check-in may win");
-            assert!(set.max_per_key() <= 1, "cap must hold");
-            assert!(set.check_out("a:80").is_some());
-            assert!(set.check_out("a:80").is_none(), "cap 1 retains at most one");
-        });
-    }
-
-    /// A checker-out racing a checker-in sees each item at most once.
-    #[test]
-    fn loom_check_out_races_check_in() {
-        loom::model(|| {
-            let set = Arc::new(IdleSet::new(4));
-            let set2 = set.clone();
-            let producer = loom::thread::spawn(move || {
-                set2.check_in("a:80", 7);
-            });
-            let set3 = set.clone();
-            let consumer = loom::thread::spawn(move || set3.check_out("a:80"));
-            producer.join().expect("join");
-            let taken = consumer.join().expect("join");
-            let remaining = set.check_out("a:80");
-            match taken {
-                Some(v) => {
-                    assert_eq!(v, 7);
-                    assert_eq!(remaining, None, "item must not be duplicated");
-                }
-                None => assert_eq!(remaining, Some(7), "item must not be lost"),
-            }
-        });
     }
 }
 

@@ -18,17 +18,20 @@
 //! read/write deadlines on every connection, and a drop that drains
 //! in-flight requests.  The client holds one persistent connection with
 //! retry-with-backoff connects and a single transparent reconnect when
-//! the held connection has gone stale.
+//! the held connection has gone stale.  A dropped client leaves its
+//! connection in a process-wide idle pool, so the next client of the
+//! same server (a fresh toolkit joining) skips the TCP handshake.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::sync::{self, Mutex};
 use openmeta_net::{
-    connect_retrying, read_frame_blocking, Dispatch, EventHandler, LengthFramer, Server,
-    ServerConfig, ServerStats, TransportConfig, TransportCounters,
+    connect_retrying, harden_stream, probe_idle, read_frame_blocking, Dispatch, EventHandler,
+    IdleSet, LengthFramer, Server, ServerConfig, ServerStats, TransportConfig, TransportCounters,
 };
+use openmeta_obs::{Counter, MetricsRegistry};
 
 use crate::codec::{decode_descriptor, encode_descriptor};
 use crate::error::PbioError;
@@ -98,7 +101,13 @@ impl FormatServer {
 
     /// Start a server with explicit engine/worker/queue/deadline bounds.
     pub fn start_with(cfg: ServerConfig) -> Result<FormatServer, PbioError> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        FormatServer::start_on(0, cfg)
+    }
+
+    /// Start a server on a specific localhost port (0 = ephemeral), e.g.
+    /// to restart one at the address its clients already know.
+    pub fn start_on(port: u16, cfg: ServerConfig) -> Result<FormatServer, PbioError> {
+        let listener = TcpListener::bind(("127.0.0.1", port))?;
         // The store's machine model is irrelevant: it only warehouses
         // descriptors that carry their own models.
         let store = Arc::new(FormatRegistry::new(MachineModel::native()));
@@ -184,16 +193,65 @@ fn handle_request(req: &[u8], store: &FormatRegistry) -> Vec<u8> {
     }
 }
 
+/// Idle connections the process-wide client pool keeps per server.
+const POOL_IDLE_PER_SERVER: usize = 4;
+
+/// Idle connections the process-wide client pool keeps across all
+/// servers; beyond it the oldest is closed, so connections to servers
+/// that went away cannot pile up.
+pub const POOL_IDLE_TOTAL: usize = 64;
+
+/// Keep-alive connections dropped clients left behind, keyed by server
+/// address, with the `openmeta_format_client_*` counters.
+struct ClientPool {
+    idle: IdleSet<SocketAddr, TcpStream>,
+    connects: Arc<Counter>,
+    reuses: Arc<Counter>,
+    dead_on_checkout: Arc<Counter>,
+}
+
+fn client_pool() -> &'static ClientPool {
+    static POOL: OnceLock<ClientPool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let m = MetricsRegistry::global();
+        ClientPool {
+            idle: IdleSet::new(POOL_IDLE_PER_SERVER, POOL_IDLE_TOTAL),
+            connects: m.counter("openmeta_format_client_connects_total"),
+            reuses: m.counter("openmeta_format_client_reuses_total"),
+            dead_on_checkout: m.counter("openmeta_format_client_dead_on_checkout_total"),
+        }
+    })
+}
+
+impl ClientPool {
+    /// An idle connection to `addr` that passed the health probe; dead
+    /// ones (the server idle-closed or drained them) are discarded.
+    fn check_out(&self, addr: SocketAddr) -> Option<TcpStream> {
+        while let Some(stream) = self.idle.check_out(&addr) {
+            if let Some(healthy) = probe_idle(stream) {
+                self.reuses.inc();
+                return Some(healthy);
+            }
+            self.dead_on_checkout.inc();
+        }
+        None
+    }
+}
+
 /// Client handle for a [`FormatServer`].
 ///
 /// Holds one persistent connection and reuses it across requests (the
-/// server keeps connections alive for exactly this reason).  When the
-/// held connection has gone stale — the server idle-closed it or
-/// restarted — the next request transparently reconnects once and
-/// retries; both operations are idempotent (register is content-addressed
-/// and fetch is read-only), so the retry is safe.  Fresh connects run
-/// under the configured retry-with-backoff schedule and every socket
-/// carries connect/read/write deadlines.
+/// server keeps connections alive for exactly this reason).  The first
+/// request takes an idle connection to the same server from the
+/// process-wide pool when one passes the health probe, and a dropped
+/// client checks its connection back in, so short-lived clients share
+/// connections instead of each paying a handshake.  When the held or
+/// pooled connection has gone stale — the server idle-closed it or
+/// restarted — the request transparently reconnects once and retries;
+/// both operations are idempotent (register is content-addressed and
+/// fetch is read-only), so the retry is safe.  Fresh connects run under
+/// the configured retry-with-backoff schedule, and every socket, pooled
+/// or fresh, carries this client's connect/read/write deadlines.
 pub struct FormatServerClient {
     addr: SocketAddr,
     config: TransportConfig,
@@ -211,9 +269,24 @@ impl FormatServerClient {
         FormatServerClient { addr, config, conn: Mutex::new(None) }
     }
 
+    /// Idle connections the process-wide pool holds, across all servers.
+    pub fn pooled_idle_count() -> usize {
+        client_pool().idle.count()
+    }
+
+    /// A healthy pooled connection to this client's server, carrying
+    /// this client's deadlines rather than its previous owner's.
+    fn pooled_stream(&self) -> Option<TcpStream> {
+        let stream = client_pool().check_out(self.addr)?;
+        harden_stream(&stream, &self.config).ok()?;
+        Some(stream)
+    }
+
     fn fresh_stream(&self) -> Result<TcpStream, PbioError> {
-        connect_retrying(self.addr, &self.config)
-            .map_err(|e| PbioError::Io(format!("connecting to format server: {e}")))
+        let stream = connect_retrying(self.addr, &self.config)
+            .map_err(|e| PbioError::Io(format!("connecting to format server: {e}")))?;
+        client_pool().connects.inc();
+        Ok(stream)
     }
 
     fn exchange(stream: &mut TcpStream, request: &[u8]) -> Result<Vec<u8>, PbioError> {
@@ -223,7 +296,7 @@ impl FormatServerClient {
 
     fn round_trip(&self, request: &[u8]) -> Result<Vec<u8>, PbioError> {
         let mut guard = sync::lock(&self.conn);
-        if let Some(mut stream) = guard.take() {
+        if let Some(mut stream) = guard.take().or_else(|| self.pooled_stream()) {
             // On failure the connection was stale (idle-closed, server
             // restarted, or a deadline fired): reconnect once below and
             // retry the exchange.
@@ -283,6 +356,17 @@ impl FormatServerClient {
         }
         let fetched = self.fetch(id)?.ok_or(PbioError::UnknownFormatId(id.0))?;
         Ok(registry.register_descriptor(fetched))
+    }
+}
+
+impl Drop for FormatServerClient {
+    /// Leave the held connection for the next client of the same server.
+    /// It is always clean: only a connection whose last exchange
+    /// completed is ever held.
+    fn drop(&mut self) {
+        if let Some(stream) = sync::get_mut(&mut self.conn).take() {
+            client_pool().idle.check_in(self.addr, stream);
+        }
     }
 }
 

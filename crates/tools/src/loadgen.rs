@@ -176,7 +176,9 @@ impl ServerUnderTest {
 
 /// Server bounds sized for a load test: admit every planned connection
 /// plus slack, and (threaded only) a worker per connection since each
-/// blocking worker pins one keep-alive connection.  The read deadline is
+/// blocking worker pins one keep-alive connection — plus one for the
+/// pbio run's registering client, whose connection stays open in the
+/// process-wide format-client pool for the whole run.  The read deadline is
 /// stretched well past the ramp-up window — connecting 10k clients one
 /// by one takes longer than the keep-alive idle default, and an
 /// idle-killed connection would show up as a spurious client error.
@@ -187,7 +189,7 @@ fn server_config(opts: &LoadgenOptions) -> ServerConfig {
     };
     ServerConfig {
         backend: opts.backend,
-        workers: opts.connections.max(base.workers),
+        workers: (opts.connections + 1).max(base.workers),
         accept_queue: opts.connections.max(base.accept_queue),
         max_connections: opts.connections + 64,
         read_timeout: Some(Duration::from_secs(300)),

@@ -266,7 +266,10 @@ fn drop_drains_promptly_on_both_backends() {
             let server = FormatServer::start_with(config(backend)).unwrap();
             let client = FormatServerClient::connect(server.addr());
             client.register(&descriptor("Drain")).unwrap();
-            // Drop with the keep-alive connection still open.
+            // Drop with the keep-alive connection still open: the client
+            // leaves it idle in the process-wide pool.
+            drop(client);
+            assert!(FormatServerClient::pooled_idle_count() >= 1, "{backend:?}");
         }
         assert!(
             started.elapsed() < Duration::from_secs(5),

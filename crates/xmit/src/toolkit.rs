@@ -1,9 +1,10 @@
 //! The toolkit facade: load documents, bind types, mint records.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use openmeta_obs::sync::{self, Mutex};
 use openmeta_obs::{clock, Counter, MetricsRegistry};
 
 use parking_lot::RwLock;
@@ -43,17 +44,19 @@ impl BindingToken {
 /// How a cached discovery request was satisfied.
 ///
 /// Each variant carries the names of the complex types the document
-/// defines; only [`LoadOutcome::Loaded`] paid for a parse.
+/// defines.  Outcomes are per toolkit: only [`LoadOutcome::Loaded`]
+/// needed a parse, which the process-wide parse memo shares between
+/// toolkits that load the same body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadOutcome {
-    /// Cache miss: the document was fetched, parsed, and its definitions
-    /// (re)applied.
+    /// Cache miss: the document was fetched, parsed (or its parse taken
+    /// from the process-wide memo), and its definitions (re)applied.
     Loaded(Vec<String>),
     /// The server answered a conditional GET with `304 Not Modified`;
     /// the cached parse was re-applied without transferring the body.
     Revalidated(Vec<String>),
-    /// A full body arrived but its content hash matched a cached parse
-    /// (same URL or any other), so parsing was skipped.
+    /// A full body arrived whose bytes match a parse this toolkit
+    /// already cached (same URL or any other), so it was re-applied.
     Unchanged(Vec<String>),
     /// The cached entry was inside the freshness TTL; no network traffic
     /// at all.
@@ -81,7 +84,7 @@ impl LoadOutcome {
         }
     }
 
-    /// Did this request skip the schema parse?
+    /// Was this request answered from this toolkit's discovery cache?
     pub fn was_cache_hit(&self) -> bool {
         !matches!(self, LoadOutcome::Loaded(_))
     }
@@ -96,23 +99,118 @@ pub struct SchemaCacheStats {
     pub revalidated: u64,
     /// Full bodies whose content hash matched a cached parse.
     pub content_hits: u64,
-    /// Documents that had to be fetched and parsed.
+    /// Documents new to this toolkit, which had to be fetched and parsed
+    /// (the parse possibly shared through the process-wide memo).
     pub misses: u64,
 }
 
 impl SchemaCacheStats {
-    /// Total cached-path loads (everything that skipped a parse).
+    /// Total cached-path loads (everything answered from this toolkit's
+    /// cache).
     pub fn hits(&self) -> u64 {
         self.fresh_hits + self.revalidated + self.content_hits
     }
 }
 
-/// A parsed schema document, shared between the URL cache and the
-/// content-hash index.
+/// A parsed schema document and the text it was parsed from, shared
+/// between the process-wide parse memo, the URL cache and the
+/// content-hash index.  Keeping the text lets every content-hash match
+/// be confirmed byte for byte.
 struct ParsedDoc {
+    text: String,
     types: Vec<ComplexType>,
     enums: Vec<EnumType>,
     names: Vec<String>,
+}
+
+fn parse_doc(text: &str) -> Result<ParsedDoc, XmitError> {
+    let _span = openmeta_obs::span!("discovery.parse");
+    let doc = parse_str(text)?;
+    let names = doc.types.iter().map(|ct| ct.name.clone()).collect();
+    Ok(ParsedDoc { text: text.to_owned(), types: doc.types, enums: doc.enums, names })
+}
+
+/// Source bytes the process-wide parse memo retains; beyond it the
+/// oldest entries are evicted first.
+const PARSE_MEMO_BYTES: usize = 4 << 20;
+
+/// Process-wide memo of [`parse_doc`], which depends only on the
+/// document text: every toolkit in the process that loads the same body
+/// shares one parse.  Entries are keyed by content hash and every hit is
+/// confirmed by comparing the text, because FNV-1a is not
+/// collision-resistant and a crafted collision from one document server
+/// must not stand in for another server's definitions.
+struct ParseMemo {
+    max_bytes: usize,
+    state: Mutex<MemoState>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    by_hash: HashMap<u64, Vec<Arc<ParsedDoc>>>,
+    /// Every entry, oldest first.
+    order: VecDeque<(u64, Arc<ParsedDoc>)>,
+    /// Source bytes of every entry.
+    bytes: usize,
+}
+
+impl ParseMemo {
+    fn new(max_bytes: usize, metrics: &MetricsRegistry) -> ParseMemo {
+        ParseMemo {
+            max_bytes,
+            state: Mutex::new(MemoState::default()),
+            hits: metrics.counter("openmeta_schema_parse_memo_hits_total"),
+            misses: metrics.counter("openmeta_schema_parse_memo_misses_total"),
+        }
+    }
+
+    fn global() -> &'static ParseMemo {
+        static MEMO: OnceLock<ParseMemo> = OnceLock::new();
+        MEMO.get_or_init(|| ParseMemo::new(PARSE_MEMO_BYTES, MetricsRegistry::global()))
+    }
+
+    /// The parse of `text`, whose content hash is `hash`.
+    fn get_or_parse(&self, hash: u64, text: &str) -> Result<Arc<ParsedDoc>, XmitError> {
+        let hit = sync::lock(&self.state)
+            .by_hash
+            .get(&hash)
+            .and_then(|docs| docs.iter().find(|d| d.text == text).cloned());
+        if let Some(doc) = hit {
+            self.hits.inc();
+            return Ok(doc);
+        }
+        self.misses.inc();
+        let doc = Arc::new(parse_doc(text)?);
+        self.insert(hash, &doc);
+        Ok(doc)
+    }
+
+    fn insert(&self, hash: u64, doc: &Arc<ParsedDoc>) {
+        if doc.text.len() > self.max_bytes {
+            return;
+        }
+        let mut guard = sync::lock(&self.state);
+        let state = &mut *guard;
+        let docs = state.by_hash.entry(hash).or_default();
+        if docs.iter().any(|d| d.text == doc.text) {
+            return; // a racing parse of the same text got here first
+        }
+        docs.push(doc.clone());
+        state.order.push_back((hash, doc.clone()));
+        state.bytes += doc.text.len();
+        while state.bytes > self.max_bytes {
+            let Some((old_hash, old)) = state.order.pop_front() else { break };
+            state.bytes -= old.text.len();
+            if let Some(docs) = state.by_hash.get_mut(&old_hash) {
+                docs.retain(|d| !Arc::ptr_eq(d, &old));
+                if docs.is_empty() {
+                    state.by_hash.remove(&old_hash);
+                }
+            }
+        }
+    }
 }
 
 /// Per-URL cache entry: validator, content hash, and the parse itself.
@@ -320,36 +418,44 @@ impl Xmit {
             }
             Fetched::New { text, etag: new_etag } => {
                 let hash = content_hash64(text.as_bytes());
-                // Dedupe against this URL's previous body or any other
-                // URL that served identical bytes.
-                let cached = self
-                    .schema_cache
-                    .read()
-                    .get(url)
-                    .filter(|e| e.hash == hash)
-                    .map(|e| e.doc.clone())
-                    .or_else(|| self.content_index.read().get(&hash).cloned());
-                if let Some(doc) = cached {
-                    self.store_entry(url, new_etag, hash, doc.clone());
-                    self.apply_doc(&doc, url);
-                    self.cache_counters.content_hits.inc();
-                    return Ok(LoadOutcome::Unchanged(doc.names.clone()));
-                }
-                let doc = Arc::new(Self::parse_doc(&text)?);
-                self.store_entry(url, new_etag, hash, doc.clone());
-                self.content_index.write().insert(hash, doc.clone());
-                self.apply_doc(&doc, url);
-                self.cache_counters.misses.inc();
-                Ok(LoadOutcome::Loaded(doc.names.clone()))
+                self.load_body(url, &text, new_etag, hash)
             }
         }
     }
 
-    fn parse_doc(text: &str) -> Result<ParsedDoc, XmitError> {
-        let _span = openmeta_obs::span!("discovery.parse");
-        let doc = parse_str(text)?;
-        let names = doc.types.iter().map(|ct| ct.name.clone()).collect();
-        Ok(ParsedDoc { types: doc.types, enums: doc.enums, names })
+    /// Load a freshly fetched body whose content hash is `hash`.  Every
+    /// hash match, in this toolkit's caches and in the process-wide
+    /// parse memo, is confirmed by comparing the text.
+    fn load_body(
+        &self,
+        url: &str,
+        text: &str,
+        etag: Option<String>,
+        hash: u64,
+    ) -> Result<LoadOutcome, XmitError> {
+        // Dedupe against this URL's previous body or any other URL that
+        // served identical bytes.
+        let cached = self
+            .schema_cache
+            .read()
+            .get(url)
+            .filter(|e| e.hash == hash && e.doc.text == text)
+            .map(|e| e.doc.clone())
+            .or_else(|| self.content_index.read().get(&hash).filter(|d| d.text == text).cloned());
+        if let Some(doc) = cached {
+            self.store_entry(url, etag, hash, doc.clone());
+            self.apply_doc(&doc, url);
+            self.cache_counters.content_hits.inc();
+            return Ok(LoadOutcome::Unchanged(doc.names.clone()));
+        }
+        // New to this toolkit, so the outcome is a miss even when another
+        // toolkit already parsed the same body.
+        let doc = ParseMemo::global().get_or_parse(hash, text)?;
+        self.store_entry(url, etag, hash, doc.clone());
+        self.content_index.write().insert(hash, doc.clone());
+        self.apply_doc(&doc, url);
+        self.cache_counters.misses.inc();
+        Ok(LoadOutcome::Loaded(doc.names.clone()))
     }
 
     /// (Re-)apply a parsed document's definitions.  Cache hits go through
@@ -389,7 +495,10 @@ impl Xmit {
         );
     }
 
-    /// Load definitions from already-fetched XML text.
+    /// Load definitions from already-fetched XML text.  This always
+    /// parses: the process-wide parse memo serves URL loads only, so the
+    /// paper's registration measurement (Figures 3 and 6), which times
+    /// this path, pays a real parse every time.
     pub fn load_str(&self, text: &str) -> Result<Vec<String>, XmitError> {
         let mut changed = false;
         let doc = parse_str(text)?;
@@ -715,6 +824,88 @@ mod tests {
         let t2 = xmit.bind("Msg").unwrap();
         assert_ne!(t1.id(), t2.id(), "changed dependency must re-bind the composition");
         assert!(t2.format.field_path("hdr.flags").is_some());
+    }
+
+    fn one_type_doc(name: &str) -> String {
+        format!(
+            r#"<xsd:complexType name="{name}" xmlns:xsd="{XSD}">
+                 <xsd:element name="a" type="xsd:int" /></xsd:complexType>"#
+        )
+    }
+
+    #[test]
+    fn parse_memo_confirms_hash_hits_by_bytes() {
+        let metrics = MetricsRegistry::new();
+        let memo = ParseMemo::new(1 << 20, &metrics);
+        let (a, b) = (one_type_doc("MemoA"), one_type_doc("MemoB"));
+        // Both texts claim the same hash: two distinct, correct parses.
+        let pa = memo.get_or_parse(7, &a).unwrap();
+        let pb = memo.get_or_parse(7, &b).unwrap();
+        assert_eq!(pa.names, vec!["MemoA"]);
+        assert_eq!(pb.names, vec!["MemoB"]);
+        // A byte-identical body is a hit on the shared parse.
+        assert!(Arc::ptr_eq(&pa, &memo.get_or_parse(7, &a).unwrap()));
+        assert!(Arc::ptr_eq(&pb, &memo.get_or_parse(7, &b).unwrap()));
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter_value("openmeta_schema_parse_memo_misses_total"), Some(2));
+        assert_eq!(snap.counter_value("openmeta_schema_parse_memo_hits_total"), Some(2));
+        // Parse errors are reported, not memoized.
+        assert!(memo.get_or_parse(8, "<a/>").is_err());
+        assert!(memo.get_or_parse(8, "<a/>").is_err());
+    }
+
+    #[test]
+    fn parse_memo_evicts_oldest_first_within_its_byte_bound() {
+        let docs: Vec<String> = (0..3).map(|i| one_type_doc(&format!("Evict{i}"))).collect();
+        let bound = docs[0].len() + docs[1].len();
+        let memo = ParseMemo::new(bound, &MetricsRegistry::new());
+        let first: Vec<_> = docs
+            .iter()
+            .map(|d| memo.get_or_parse(content_hash64(d.as_bytes()), d).unwrap())
+            .collect();
+        let state = sync::lock(&memo.state);
+        assert!(state.bytes <= bound, "{} > {bound}", state.bytes);
+        assert_eq!(state.order.len(), 2, "the oldest entry made room");
+        drop(state);
+        let again = |i: usize| memo.get_or_parse(content_hash64(docs[i].as_bytes()), &docs[i]);
+        assert!(Arc::ptr_eq(&first[2], &again(2).unwrap()), "newest kept");
+        assert!(!Arc::ptr_eq(&first[0], &again(0).unwrap()), "oldest re-parsed");
+        // A body larger than the whole bound is parsed but not retained.
+        let tiny = ParseMemo::new(8, &MetricsRegistry::new());
+        tiny.get_or_parse(1, &docs[0]).unwrap();
+        assert_eq!(sync::lock(&tiny.state).bytes, 0);
+    }
+
+    #[test]
+    fn forged_hash_collisions_load_distinct_definitions() {
+        let xmit = Xmit::new(MachineModel::native());
+        let (a, b) = (one_type_doc("CollideA"), one_type_doc("CollideB"));
+        // Both bodies claim one hash; neither may stand in for the other,
+        // through the per-URL check, the cross-URL index or the memo.
+        let hash = 0x00c0_111d_e000_0001;
+        let first = xmit.load_body("mem://collide-a", &a, None, hash).unwrap();
+        assert_eq!(first, LoadOutcome::Loaded(vec!["CollideA".to_string()]));
+        let second = xmit.load_body("mem://collide-b", &b, None, hash).unwrap();
+        assert_eq!(second, LoadOutcome::Loaded(vec!["CollideB".to_string()]));
+        let third = xmit.load_body("mem://collide-a", &b, None, hash).unwrap();
+        assert_eq!(third.names(), ["CollideB"]);
+        assert_eq!(xmit.loaded_types(), vec!["CollideA", "CollideB"]);
+        assert_eq!(xmit.definition("CollideB").unwrap().name, "CollideB");
+    }
+
+    #[test]
+    fn fresh_toolkits_share_the_parse_but_not_the_outcome() {
+        let doc = one_type_doc("SharedParse");
+        let first = Xmit::new(MachineModel::native());
+        let second = Xmit::new(MachineModel::native());
+        for tk in [&first, &second] {
+            tk.source().put_mem("shared", doc.clone());
+            let out = tk.load_url_cached("mem://shared").unwrap();
+            assert_eq!(out, LoadOutcome::Loaded(vec!["SharedParse".to_string()]));
+            assert_eq!(tk.schema_cache_stats().misses, 1);
+        }
+        let parse = |tk: &Xmit| tk.schema_cache.read().get("mem://shared").unwrap().doc.clone();
+        assert!(Arc::ptr_eq(&parse(&first), &parse(&second)), "one parse per body");
     }
 
     #[test]

@@ -399,8 +399,6 @@ fn loom() -> ExitCode {
         "-p",
         "openmeta-net",
         "-p",
-        "openmeta-ohttp",
-        "-p",
         "openmeta-obs",
         "-p",
         "openmeta-pbio",

@@ -7,7 +7,8 @@
 use std::collections::HashSet;
 use std::net::TcpListener;
 
-use openmeta_ohttp::{http_get, ConnectionPool, Url};
+use openmeta_ohttp::{http_get, ConnectionPool, ServerConfig, Url};
+use openmeta_pbio::server::{FormatServer, FormatServerClient};
 use xmit::{HttpServer, MachineModel, Xmit, XmitReceiver, XmitSender};
 
 const XSD: &str = "http://www.w3.org/2001/XMLSchema";
@@ -77,6 +78,23 @@ fn metrics_endpoint_exposes_every_subsystem() {
     toolkit.load_url(&doc_url).unwrap();
     toolkit.load_url(&doc_url).unwrap();
     let token = toolkit.bind("Reading").unwrap();
+    // A second toolkit loads the same body: a hit in the process-wide
+    // parse memo.
+    Xmit::new(MachineModel::native()).load_url(&doc_url).unwrap();
+
+    // Format-server clients: the second reuses the connection the first
+    // left in the pool; after a restart at the same address the pooled
+    // connection is dead and the third client connects afresh.
+    let format_server = FormatServer::start().unwrap();
+    let format_addr = format_server.addr();
+    for _ in 0..2 {
+        FormatServerClient::connect(format_addr).register(&token.format).unwrap();
+    }
+    drop(format_server);
+    let format_server =
+        FormatServer::start_on(format_addr.port(), ServerConfig::default()).unwrap();
+    FormatServerClient::connect(format_addr).register(&token.format).unwrap();
+    drop(format_server);
 
     // Marshal enough records for a plan-cache hit, and ship them over a
     // sender/receiver pair so the transport spans fire.
@@ -118,11 +136,17 @@ fn metrics_endpoint_exposes_every_subsystem() {
     let samples = parse_exposition(&body);
 
     // Every migrated subsystem shows up in one scrape: plan cache,
-    // schema cache, connection pool, transport, HTTP server.
+    // schema cache and parse memo, connection pools, transport, HTTP
+    // server.
     for series in [
         "openmeta_plan_cache_hits_total",
         "openmeta_plan_cache_misses_total",
         "openmeta_schema_cache_misses_total",
+        "openmeta_schema_parse_memo_hits_total",
+        "openmeta_schema_parse_memo_misses_total",
+        "openmeta_format_client_connects_total",
+        "openmeta_format_client_reuses_total",
+        "openmeta_format_client_dead_on_checkout_total",
         "openmeta_pool_requests_total",
         "openmeta_pool_reuses_total",
         "openmeta_transport_accepted_total",

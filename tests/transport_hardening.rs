@@ -247,6 +247,17 @@ fn http_server_rejections_and_counters_are_visible() {
     assert!(counters.rejected >= 1, "{counters:?}");
     assert!(counters.accepted >= counters.rejected, "{counters:?}");
     drop(conns);
+    // Let the server finish shedding: all eight connections accepted and
+    // closed.  A request that races them can be rightly rejected, since
+    // the server is still at capacity until its workers see the EOFs.
+    let start = Instant::now();
+    loop {
+        std::thread::sleep(Duration::from_millis(10));
+        let c = server.transport_counters();
+        if (c.accepted >= 8 && c.active == 0) || start.elapsed() > Duration::from_secs(5) {
+            break;
+        }
+    }
 
     // The server still serves real requests after shedding load.
     let xm = Xmit::new(MachineModel::native());
