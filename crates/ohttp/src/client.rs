@@ -234,8 +234,7 @@ fn one_shot(url: &Url, etag: Option<&str>) -> Result<Fetch, HttpError> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut writer = stream.try_clone()?;
-    write_get_request(&mut writer, url, etag, false)?;
+    write_get_request(&mut &stream, url, etag, false)?;
     let mut reader = BufReader::new(stream);
     interpret(read_response(&mut reader)?)
 }

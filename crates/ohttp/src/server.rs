@@ -11,7 +11,9 @@
 //! goes idle.  Every response carries a strong
 //! `ETag` derived from the body, and `If-None-Match` revalidation answers
 //! `304 Not Modified` — the substrate the discovery fast path's schema
-//! cache revalidates against.
+//! cache revalidates against.  The ETag is computed once, when a document
+//! is published: a request looks the document up and writes it out, and
+//! never hashes or clones a body.
 //!
 //! The protocol is one sans-io handler, `HttpConnHandler`; the server
 //! lifecycle is `openmeta_net`'s [`Server`]: a bounded worker pool (or
@@ -39,8 +41,17 @@ use crate::content_hash64;
 use crate::error::HttpError;
 use crate::request::{Request, RequestParser};
 
-/// Hosted content: path → (content type, body).
-type ContentMap = HashMap<String, (String, Vec<u8>)>;
+/// One published document, prepared at [`HttpServer::put`]: requests
+/// share it through an `Arc` and never hash or copy it.
+struct Document {
+    content_type: String,
+    body: Vec<u8>,
+    /// Strong validator for `body` (see [`etag_for`]).
+    etag: String,
+}
+
+/// Hosted content: path → document.
+type ContentMap = HashMap<String, Arc<Document>>;
 
 /// How long the server waits for the next request on an idle
 /// keep-alive connection before hanging up (the default read deadline).
@@ -112,7 +123,9 @@ impl HttpServer {
     /// Publish (or replace) a text document.
     pub fn put(&self, path: &str, content_type: &str, body: impl Into<Vec<u8>>) {
         let path = if path.starts_with('/') { path.to_string() } else { format!("/{path}") };
-        self.shared.content.write().insert(path, (content_type.to_string(), body.into()));
+        let body = body.into();
+        let doc = Document { content_type: content_type.to_string(), etag: etag_for(&body), body };
+        self.shared.content.write().insert(path, Arc::new(doc));
     }
 
     /// Publish an XML document (convenience for metadata hosting).
@@ -166,7 +179,7 @@ impl EventHandler for HttpConnHandler {
         self.parser.push(bytes);
         let mut dispatch = Dispatch::default();
         while let Some(request) = self.parser.next_request()? {
-            out.extend_from_slice(&render(&self.shared, &request));
+            render(&self.shared, &request, out);
             dispatch.requests += 1;
             if request.close_requested {
                 dispatch.close = true;
@@ -183,39 +196,54 @@ impl EventHandler for HttpConnHandler {
     }
 }
 
-/// Handle one parsed request, returning the complete response bytes.
-fn render(shared: &HttpShared, request: &Request) -> Vec<u8> {
+/// Handle one parsed request, appending the complete response to `out`.
+fn render(shared: &HttpShared, request: &Request, out: &mut Vec<u8>) {
     shared.hits.inc();
     if request.method != "GET" {
-        return response_bytes(405, "Method Not Allowed", "text/plain", None, Some(b"GET only\n"));
+        return write_response(
+            out,
+            405,
+            "Method Not Allowed",
+            "text/plain",
+            None,
+            Some(b"GET only\n"),
+        );
     }
     match request.path.as_str() {
         // Built-in registry scrapes (shadow any published document).
         "/metrics" => {
             let body = MetricsRegistry::global().snapshot().to_prometheus();
-            response_bytes(200, "OK", "text/plain; version=0.0.4", None, Some(body.as_bytes()))
+            write_response(out, 200, "OK", "text/plain; version=0.0.4", None, Some(body.as_bytes()))
         }
         "/metrics.json" => {
             let body = MetricsRegistry::global().snapshot().to_json();
-            response_bytes(200, "OK", "application/json", None, Some(body.as_bytes()))
+            write_response(out, 200, "OK", "application/json", None, Some(body.as_bytes()))
         }
         path => {
-            let body = shared.content.read().get(path).cloned();
-            match body {
-                Some((ctype, bytes)) => {
-                    let etag = etag_for(&bytes);
+            let doc = shared.content.read().get(path).cloned();
+            match doc {
+                Some(doc) => {
                     let fresh = request
                         .if_none_match
                         .as_deref()
-                        .is_some_and(|inm| if_none_match_matches(inm, &etag));
+                        .is_some_and(|inm| if_none_match_matches(inm, &doc.etag));
                     if fresh {
                         shared.not_modified.inc();
-                        response_bytes(304, "Not Modified", &ctype, Some(&etag), None)
+                        write_response(
+                            out,
+                            304,
+                            "Not Modified",
+                            &doc.content_type,
+                            Some(&doc.etag),
+                            None,
+                        )
                     } else {
-                        response_bytes(200, "OK", &ctype, Some(&etag), Some(&bytes))
+                        let body = Some(doc.body.as_slice());
+                        write_response(out, 200, "OK", &doc.content_type, Some(&doc.etag), body)
                     }
                 }
-                None => response_bytes(
+                None => write_response(
+                    out,
                     404,
                     "Not Found",
                     "text/plain",
@@ -227,30 +255,31 @@ fn render(shared: &HttpShared, request: &Request) -> Vec<u8> {
     }
 }
 
-/// Build one response as a single byte vector.  `body: None` means a
-/// bodiless status (304): no `Content-Length` and no payload bytes.
-/// One buffer per response: head and body in separate write segments
-/// would hand Nagle a reason to park the body behind a delayed ACK.
-fn response_bytes(
+/// Append one response to `out`.  `body: None` means a bodiless status
+/// (304): no `Content-Length` and no payload bytes.  Head and body go
+/// into the one buffer: separate write segments would hand Nagle a
+/// reason to park the body behind a delayed ACK.
+fn write_response(
+    out: &mut Vec<u8>,
     code: u16,
     reason: &str,
     content_type: &str,
     etag: Option<&str>,
     body: Option<&[u8]>,
-) -> Vec<u8> {
-    let mut head = format!("HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\n");
+) {
+    use std::io::Write as _;
+    // Writes into a Vec cannot fail.
+    let _ = write!(out, "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\n");
     if let Some(tag) = etag {
-        head.push_str(&format!("ETag: {tag}\r\n"));
+        let _ = write!(out, "ETag: {tag}\r\n");
     }
     if let Some(body) = body {
-        head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+        let _ = write!(out, "Content-Length: {}\r\n", body.len());
     }
-    head.push_str("Connection: keep-alive\r\n\r\n");
-    let mut out = head.into_bytes();
+    out.extend_from_slice(b"Connection: keep-alive\r\n\r\n");
     if let Some(body) = body {
         out.extend_from_slice(body);
     }
-    out
 }
 
 #[cfg(test)]
@@ -342,6 +371,9 @@ mod tests {
         server.put_xml("/f.xsd", "<v1/>");
         let url = Url::parse(&server.url_for("/f.xsd")).unwrap();
         let first = http_get(&url).unwrap().etag.expect("etag");
+        // The validator is the quoted 16-hex FNV-1a of the body, so ETags
+        // issued by earlier servers stay valid.
+        assert_eq!(first, format!("\"{:016x}\"", content_hash64(b"<v1/>")));
         let second = http_get(&url).unwrap().etag.expect("etag");
         assert_eq!(first, second);
         server.put_xml("/f.xsd", "<v2/>");

@@ -17,6 +17,19 @@ use crate::layout::{layout_record, FieldLayout};
 use crate::machine::MachineModel;
 use crate::types::{BaseType, FieldKind};
 
+/// Deepest nesting a format may have: the number of nested-record levels
+/// below the outermost record.
+///
+/// Descriptor decoding recurses once per level, and a peer chooses the
+/// depth of what it sends; without a cap a chain of ten thousand levels
+/// (about 270 KB, well under any frame bound) overflows a thread stack
+/// and aborts the process.  Real message formats nest a handful of
+/// levels; 32 leaves ample room for them while keeping every recursion
+/// over a descriptor (decode, id hashing, layout, plan compile, verify)
+/// a few KB of stack.  [`FormatDescriptor::resolve`] enforces the same
+/// cap, so any format that binds locally can also be decoded by a peer.
+pub const MAX_NESTING: usize = 32;
+
 /// An unresolved format: a name plus field declarations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FormatSpec {
@@ -118,6 +131,12 @@ impl FormatDescriptor {
                     }
                     let nested =
                         resolver(&name).ok_or_else(|| PbioError::UnknownFormat(name.clone()))?;
+                    if nested.nesting_depth() >= MAX_NESTING {
+                        return Err(PbioError::BadField {
+                            field: f.name.clone(),
+                            reason: format!("nesting '{name}' here exceeds {MAX_NESTING} levels"),
+                        });
+                    }
                     if nested.machine != machine {
                         return Err(PbioError::BadField {
                             field: f.name.clone(),
@@ -234,6 +253,20 @@ impl FormatDescriptor {
                 _ => 1,
             })
             .sum()
+    }
+
+    /// Nested-record levels below this record: 0 for a flat record.
+    /// Never more than [`MAX_NESTING`] for a resolved or decoded
+    /// descriptor.
+    pub(crate) fn nesting_depth(&self) -> usize {
+        self.fields
+            .iter()
+            .map(|f| match &f.kind {
+                FieldKind::Nested(sub) => 1 + sub.nesting_depth(),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Content-addressed identifier of this descriptor.

@@ -12,6 +12,17 @@
 //! response := 0x00 body | 0x01 (not found) | 0x02 message (error)
 //! ```
 //!
+//! The server is a content-addressed byte store: each id maps to the
+//! canonical descriptor bytes registered under it.  Its per-content work
+//! happens once, when content is first published: a register whose body
+//! the store already holds byte for byte is answered with the id after a
+//! hash and a compare, with no decode; only content new to the server is
+//! fully decoded (which validates it) before it is stored.  That compare
+//! is sound because decoding depends on nothing but the bytes, and
+//! decoding is canonical (see [`crate::codec`]), so the id the server
+//! hashes is the id the registering peer computed.  A fetch replies with
+//! the stored bytes as they are, with no re-encode.
+//!
 //! The protocol is one sans-io handler, `FormatConn`; the server
 //! lifecycle is `openmeta_net`'s [`Server`]: a bounded worker pool (or
 //! the readiness event loop) instead of thread-per-connection spawns,
@@ -22,6 +33,7 @@
 //! connection in a process-wide idle pool, so the next client of the
 //! same server (a fresh toolkit joining) skips the TCP handshake.
 
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, OnceLock};
@@ -35,8 +47,7 @@ use openmeta_obs::{Counter, MetricsRegistry};
 
 use crate::codec::{decode_descriptor, encode_descriptor};
 use crate::error::PbioError;
-use crate::format::{FormatDescriptor, FormatId};
-use crate::machine::MachineModel;
+use crate::format::{fnv1a_64, FormatDescriptor, FormatId};
 use crate::registry::FormatRegistry;
 
 const OP_REGISTER: u8 = 1;
@@ -107,15 +118,19 @@ impl FormatServer {
     /// Start a server on a specific localhost port (0 = ephemeral), e.g.
     /// to restart one at the address its clients already know.
     pub fn start_on(port: u16, cfg: ServerConfig) -> Result<FormatServer, PbioError> {
+        Ok(FormatServer::serve(port, cfg)?.0)
+    }
+
+    /// Start serving, also handing back the server's store.
+    fn serve(port: u16, cfg: ServerConfig) -> Result<(FormatServer, Arc<FormatStore>), PbioError> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        // The store's machine model is irrelevant: it only warehouses
-        // descriptors that carry their own models.
-        let store = Arc::new(FormatRegistry::new(MachineModel::native()));
+        let store = Arc::new(FormatStore::new());
         let stats = ServerStats::new();
+        let shared = store.clone();
         let server = Server::start("format-server", listener, cfg, stats.clone(), move || {
-            Box::new(FormatConn { store: store.clone(), framer: LengthFramer::new(MAX_FRAME) })
+            Box::new(FormatConn { store: shared.clone(), framer: LengthFramer::new(MAX_FRAME) })
         })?;
-        Ok(FormatServer { server, stats })
+        Ok((FormatServer { server, stats }, store))
     }
 
     /// Address clients should connect to.
@@ -130,12 +145,55 @@ impl FormatServer {
     }
 }
 
+/// The server's state: canonical descriptor bytes by content id, plus
+/// the `openmeta_format_server_registers_total` counters by outcome.
+struct FormatStore {
+    by_id: Mutex<HashMap<FormatId, Arc<[u8]>>>,
+    /// Registers whose body the store already held (no decode ran).
+    known: Arc<Counter>,
+    /// Registers of content new to the store (decoded, then stored).
+    new: Arc<Counter>,
+}
+
+impl FormatStore {
+    fn new() -> FormatStore {
+        let m = MetricsRegistry::global();
+        let series = "openmeta_format_server_registers_total";
+        FormatStore {
+            by_id: Mutex::new(HashMap::new()),
+            known: m.counter_with(series, &[("outcome", "known")]),
+            new: m.counter_with(series, &[("outcome", "new")]),
+        }
+    }
+
+    /// Register canonical descriptor bytes; returns their id.  Content
+    /// already stored byte for byte costs a hash and a compare.  Anything
+    /// else is decoded first, so only valid descriptors are ever stored;
+    /// on an id collision between different bodies the newer one wins.
+    fn register(&self, body: &[u8]) -> Result<FormatId, PbioError> {
+        let id = FormatId(fnv1a_64(body));
+        if sync::lock(&self.by_id).get(&id).is_some_and(|stored| **stored == *body) {
+            self.known.inc();
+            return Ok(id);
+        }
+        let desc = decode_descriptor(body)?;
+        debug_assert_eq!(desc.id(), id, "canonical decode hashes to the body's id");
+        sync::lock(&self.by_id).insert(id, Arc::from(body));
+        self.new.inc();
+        Ok(id)
+    }
+
+    fn fetch(&self, id: FormatId) -> Option<Arc<[u8]>> {
+        sync::lock(&self.by_id).get(&id).cloned()
+    }
+}
+
 /// One connection of the format protocol: the [`LengthFramer`] plus
-/// [`handle_request`], run by either engine.  Every read-deadline expiry
+/// [`write_reply`], run by either engine.  Every read-deadline expiry
 /// counts as a timeout (the trait's default): a format client that
 /// connected always owes a frame.
 struct FormatConn {
-    store: Arc<FormatRegistry>,
+    store: Arc<FormatStore>,
     framer: LengthFramer,
 }
 
@@ -144,53 +202,50 @@ impl EventHandler for FormatConn {
         self.framer.push(bytes);
         let mut dispatch = Dispatch::default();
         while let Some((_, payload)) = self.framer.next_frame()? {
-            let reply = {
-                let _span = openmeta_obs::span!("server.request");
-                handle_request(&payload, &self.store)
-            };
-            let len = u32::try_from(reply.len()).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "reply frame too large")
-            })?;
-            out.extend_from_slice(&len.to_be_bytes());
-            out.extend_from_slice(&reply);
+            let _span = openmeta_obs::span!("server.request");
+            write_reply(&payload, &self.store, out)?;
             dispatch.requests += 1;
         }
         Ok(dispatch)
     }
 }
 
-fn handle_request(req: &[u8], store: &FormatRegistry) -> Vec<u8> {
-    let error = |msg: &str| {
-        let mut v = vec![ST_ERROR];
-        v.extend_from_slice(msg.as_bytes());
-        v
+/// Append the framed reply to `req` to `out`: the length prefix is
+/// patched in once the payload is written, so the reply is built in
+/// place.
+fn write_reply(req: &[u8], store: &FormatStore, out: &mut Vec<u8>) -> std::io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut error = |msg: &str| {
+        out.push(ST_ERROR);
+        out.extend_from_slice(msg.as_bytes());
     };
     match req.split_first() {
-        Some((&OP_REGISTER, body)) => match decode_descriptor(body) {
-            Ok(desc) => {
-                let arc = store.register_descriptor(desc);
-                let mut v = vec![ST_OK];
-                v.extend_from_slice(&arc.id().0.to_be_bytes());
-                v
+        Some((&OP_REGISTER, body)) => match store.register(body) {
+            Ok(id) => {
+                out.push(ST_OK);
+                out.extend_from_slice(&id.0.to_be_bytes());
             }
             Err(e) => error(&e.to_string()),
         },
-        Some((&OP_FETCH, body)) => {
-            let Ok(id_bytes) = <[u8; 8]>::try_from(body) else {
-                return error("fetch body must be 8 bytes");
-            };
-            match store.lookup_id(FormatId(u64::from_be_bytes(id_bytes))) {
-                Some(desc) => {
-                    let mut v = vec![ST_OK];
-                    v.extend_from_slice(&encode_descriptor(&desc));
-                    v
+        Some((&OP_FETCH, body)) => match <[u8; 8]>::try_from(body) {
+            Ok(id_bytes) => match store.fetch(FormatId(u64::from_be_bytes(id_bytes))) {
+                Some(bytes) => {
+                    out.push(ST_OK);
+                    out.extend_from_slice(&bytes);
                 }
-                None => vec![ST_NOT_FOUND],
-            }
-        }
+                None => out.push(ST_NOT_FOUND),
+            },
+            Err(_) => error("fetch body must be 8 bytes"),
+        },
         Some((op, _)) => error(&format!("unknown opcode {op}")),
         None => error("empty request"),
     }
+    let len = u32::try_from(out.len() - start - 4).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "reply frame too large")
+    })?;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    Ok(())
 }
 
 /// Idle connections the process-wide client pool keeps per server.
@@ -375,6 +430,7 @@ mod tests {
     use super::*;
     use crate::field::IOField;
     use crate::format::FormatSpec;
+    use crate::machine::MachineModel;
     use openmeta_net::RetryPolicy;
     use std::time::Duration;
 
@@ -495,5 +551,40 @@ mod tests {
         std::thread::sleep(Duration::from_millis(200));
         assert_eq!(client.fetch(id).unwrap().unwrap(), desc);
         assert_eq!(server.transport_counters().accepted, 2, "one reconnect after idle close");
+    }
+
+    #[test]
+    fn two_clients_registering_one_descriptor_decode_it_once() {
+        let (server, store) = FormatServer::serve(0, ServerConfig::default()).unwrap();
+        let desc = descriptor("Shared");
+        let a = FormatServerClient::connect(server.addr()).register(&desc).unwrap();
+        let b = FormatServerClient::connect(server.addr()).register(&desc).unwrap();
+        assert_eq!(a, desc.id());
+        assert_eq!(b, a);
+        assert_eq!(store.new.get(), 1, "the first register decodes and stores");
+        assert_eq!(store.known.get(), 1, "the second is a hash and a byte compare");
+        // A fetch replies with the stored bytes unchanged.
+        let client = FormatServerClient::connect(server.addr());
+        assert_eq!(client.fetch(a).unwrap().unwrap(), desc);
+    }
+
+    #[test]
+    fn ten_thousand_level_register_gets_an_error_reply_and_the_server_keeps_serving() {
+        let (server, store) = FormatServer::serve(0, ServerConfig::default()).unwrap();
+        let mut req = vec![OP_REGISTER];
+        req.extend_from_slice(&crate::codec::nested_chain_bytes(10_000));
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write_frame(&mut stream, &req).unwrap();
+        let reply = read_frame(&mut stream).unwrap();
+        assert_eq!(reply.first(), Some(&ST_ERROR));
+        let msg = String::from_utf8_lossy(&reply[1..]);
+        assert!(msg.contains("nests deeper"), "{msg}");
+        // The same connection and a fresh client are both still served.
+        write_frame(&mut stream, &fetch_request_payload(FormatId(7))).unwrap();
+        assert_eq!(read_frame(&mut stream).unwrap(), vec![ST_NOT_FOUND]);
+        let desc = descriptor("After");
+        let client = FormatServerClient::connect(server.addr());
+        assert_eq!(client.register(&desc).unwrap(), desc.id());
+        assert_eq!(store.new.get(), 1);
     }
 }

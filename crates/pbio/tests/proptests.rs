@@ -6,7 +6,9 @@
 //! * marshal: encode → decode is an identity on the same machine;
 //! * convert: encode on machine A → decode on machine B preserves every
 //!   field value, for all pairs of supported machine models;
-//! * descriptor codec: encode → decode is an identity;
+//! * descriptor codec: encode → decode is an identity, and decode accepts
+//!   only canonical bytes (re-encoding gives the same bytes back, and the
+//!   decoded id is the FNV-1a hash of them), nested levels included;
 //! * robustness: decoding arbitrary mutations of a valid buffer never
 //!   panics.
 
@@ -14,6 +16,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use openmeta_pbio::codec::{decode_descriptor, encode_descriptor};
 use openmeta_pbio::layout::align_up;
 use openmeta_pbio::prelude::*;
 
@@ -273,6 +276,77 @@ proptest! {
         let a = encode(&rec).unwrap();
         let b = encode(&rec).unwrap();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// FNV-1a 64, the hash a format id is defined as over canonical bytes.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A chain `L0` … `L{depth}` registered in `reg`: `L0` has `inner`'s
+/// fields, each further level has `outer`'s fields plus one nested
+/// member holding the level below.
+fn nested_format(
+    reg: &FormatRegistry,
+    inner: &[GenField],
+    outer: &[GenField],
+    depth: usize,
+) -> Arc<FormatDescriptor> {
+    let mut fmt = reg.register(spec_from(inner, "L0")).unwrap();
+    for level in 1..=depth {
+        let mut spec = spec_from(outer, &format!("L{level}"));
+        spec.fields.push(IOField::auto("below", format!("L{}", level - 1), 0));
+        fmt = reg.register(spec).unwrap();
+    }
+    fmt
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn descriptor_codec_is_canonical(
+        (inner, _) in format_and_value(),
+        (outer, _) in format_and_value(),
+        depth in 0usize..4,
+        midx in 0usize..4,
+        flips in proptest::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..4),
+    ) {
+        let reg = FormatRegistry::new(MACHINES[midx]);
+        let fmt = nested_format(&reg, &inner, &outer, depth);
+        let bytes = encode_descriptor(&fmt);
+        let back = decode_descriptor(&bytes).unwrap();
+        prop_assert_eq!(&encode_descriptor(&back), &bytes);
+        prop_assert_eq!(back.id(), FormatId(fnv1a_64(&bytes)));
+        prop_assert_eq!(back.id(), fmt.id());
+        // Whatever mutation the decoder still accepts is canonical too.
+        let mut mutated = bytes.clone();
+        for (idx, byte) in &flips {
+            let i = idx.index(mutated.len());
+            mutated[i] ^= *byte;
+        }
+        if let Ok(d) = decode_descriptor(&mutated) {
+            prop_assert_eq!(&encode_descriptor(&d), &mutated);
+            prop_assert_eq!(d.id(), FormatId(fnv1a_64(&mutated)));
+        }
+    }
+
+    #[test]
+    fn machine_tag_with_stray_bits_is_rejected(
+        (fields, _) in format_and_value(),
+        midx in 0usize..4,
+        bit in prop::sample::select(vec![1u32, 2, 3, 28, 29, 30, 31]),
+    ) {
+        let reg = FormatRegistry::new(MACHINES[midx]);
+        let fmt = reg.register(spec_from(&fields, "P")).unwrap();
+        let mut bytes = encode_descriptor(&fmt);
+        // The tag follows the name: a u16 length and "P".
+        let tag = u32::from_be_bytes(bytes[3..7].try_into().unwrap()) | (1 << bit);
+        bytes[3..7].copy_from_slice(&tag.to_be_bytes());
+        prop_assert!(matches!(decode_descriptor(&bytes), Err(PbioError::BadWireData(_))));
     }
 }
 

@@ -84,7 +84,10 @@ fn metrics_endpoint_exposes_every_subsystem() {
 
     // Format-server clients: the second reuses the connection the first
     // left in the pool; after a restart at the same address the pooled
-    // connection is dead and the third client connects afresh.
+    // connection is dead and the third client connects afresh.  The
+    // restarted server stays up through the scrape (a dropped server's
+    // counters leave the registry): its first register of the descriptor
+    // is `new` content, the repeat is `known`.
     let format_server = FormatServer::start().unwrap();
     let format_addr = format_server.addr();
     for _ in 0..2 {
@@ -93,8 +96,9 @@ fn metrics_endpoint_exposes_every_subsystem() {
     drop(format_server);
     let format_server =
         FormatServer::start_on(format_addr.port(), ServerConfig::default()).unwrap();
-    FormatServerClient::connect(format_addr).register(&token.format).unwrap();
-    drop(format_server);
+    let format_client = FormatServerClient::connect(format_addr);
+    format_client.register(&token.format).unwrap();
+    format_client.register(&token.format).unwrap();
 
     // Marshal enough records for a plan-cache hit, and ship them over a
     // sender/receiver pair so the transport spans fire.
@@ -147,6 +151,8 @@ fn metrics_endpoint_exposes_every_subsystem() {
         "openmeta_format_client_connects_total",
         "openmeta_format_client_reuses_total",
         "openmeta_format_client_dead_on_checkout_total",
+        "openmeta_format_server_registers_total{outcome=\"known\"}",
+        "openmeta_format_server_registers_total{outcome=\"new\"}",
         "openmeta_pool_requests_total",
         "openmeta_pool_reuses_total",
         "openmeta_transport_accepted_total",
@@ -157,6 +163,8 @@ fn metrics_endpoint_exposes_every_subsystem() {
             .unwrap_or_else(|| panic!("{series} missing from scrape:\n{body}"));
         assert!(v >= 1.0, "{series} = {v}\n{body}");
     }
+    drop(format_server);
+
     // The second load revalidated (304) or hit the cache.
     let warm = value_of(&samples, "openmeta_schema_cache_revalidated_total").unwrap_or(0.0)
         + value_of(&samples, "openmeta_schema_cache_fresh_hits_total").unwrap_or(0.0)
